@@ -7,9 +7,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gnf_nf::firewall::{
     Firewall, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
 };
+use gnf_nf::ids::{Ids, IdsConfig};
 use gnf_nf::testing::sample_specs;
-use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfContext};
-use gnf_packet::{builder, Packet};
+use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfContext, Verdict};
+use gnf_packet::{builder, Packet, PacketBatch};
+use gnf_sim::Rng;
 use gnf_switch::{SoftwareSwitch, SteeringRule, TrafficSelector};
 use gnf_types::{ChainId, ClientId, MacAddr, SimTime};
 use std::hint::black_box;
@@ -449,7 +451,6 @@ fn bench_batch(c: &mut Criterion) {
 /// `shards/4` ≥1.5× over `shards/1` on multi-core hosts.
 fn bench_batch_hot_station(c: &mut Criterion) {
     use gnf_bench::dataplane_fixture as fixture;
-    use gnf_packet::PacketBatch;
 
     let mut group = quick(c).benchmark_group("batch_hot_station");
     group
@@ -493,7 +494,6 @@ fn bench_batch_hot_station(c: &mut Criterion) {
 /// stay within 10% of `disabled`.
 fn bench_trace_overhead(c: &mut Criterion) {
     use gnf_bench::dataplane_fixture as fixture;
-    use gnf_packet::PacketBatch;
     use gnf_telemetry::{
         FlightRecorder, TraceScope, TraceSink, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_RATE,
         DEFAULT_TRACE_CAPACITY,
@@ -540,6 +540,142 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+// ----------------------------------------------------------------- ids_scan
+
+/// The per-signature `windows()` scan the IDS's one-pass scanner replaced,
+/// kept inline as this group's reference.
+fn naive_signature_scan(signatures: &[Vec<u8>], payload: &[u8]) -> bool {
+    signatures
+        .iter()
+        .any(|sig| !sig.is_empty() && payload.windows(sig.len()).any(|w| w == sig.as_slice()))
+}
+
+/// `naive_signature_scan` run the way `Ids::process_batch` runs its scanner:
+/// one verdict per packet, matching packets dropped. It leaves out the
+/// IDS's stats and SYN bookkeeping, so it slightly flatters the reference.
+fn naive_ids_batch(signatures: &[Vec<u8>], batch: PacketBatch) -> Vec<Verdict> {
+    batch
+        .into_iter()
+        .map(|packet| {
+            let payload = packet.tcp_payload().or_else(|| packet.udp_payload());
+            if payload.is_some_and(|p| naive_signature_scan(signatures, p)) {
+                Verdict::Drop("malicious payload signature".into())
+            } else {
+                Verdict::Forward(packet)
+            }
+        })
+        .collect()
+}
+
+/// A 32-packet batch of UDP packets carrying `payload` seeded random bytes,
+/// or `fill` repeated to `payload` bytes when given.
+fn ids_scan_batch(rng: &mut Rng, payload: usize, fill: Option<&[u8]>) -> PacketBatch {
+    (0..32u16)
+        .map(|i| {
+            let bytes: Vec<u8> = match fill {
+                Some(fill) => fill.iter().copied().cycle().take(payload).collect(),
+                None => (0..payload).map(|_| rng.next_u32() as u8).collect(),
+            };
+            builder::udp_packet(
+                MacAddr::derived(1, 1),
+                MacAddr::derived(0xA0, 0),
+                Ipv4Addr::new(10, 0, 0, 2),
+                Ipv4Addr::new(203, 0, 113, 9),
+                40_000 + i,
+                9_000,
+                &bytes,
+            )
+        })
+        .collect()
+}
+
+/// The IDS signature scan: `Ids::process_batch` over 32-packet batches of
+/// seeded random payloads (which match nothing, the common case), payload
+/// {64, 1000, 1400} B × signatures {1, 16, 256}. The single signature is
+/// the default one; the rest are seeded random 8–24-byte strings.
+/// `naive/1000/1` runs the replaced per-signature scan on the same batch;
+/// keep `scanner/1000/1` ≥5× faster than it. The `adversarial` pair runs
+/// both scans for the default signature on 1000-B payloads that repeat the
+/// signature minus its last byte, a near miss in every 21 bytes; keep
+/// `adversarial/scanner` no slower than `adversarial/naive`. The
+/// `worst_case` pair is the scanner's worst input: `AAAAAAAAAABAAAAAAAAAAA`
+/// over payloads of `A`s, which repeat its prefix. Every window ends in a
+/// candidate byte and moves one byte per check, so the scanner makes the
+/// naive scan's comparisons plus a serial table lookup per position and
+/// runs about 2× slower than it. It is recorded, not gated.
+fn bench_ids_scan(c: &mut Criterion) {
+    let mut group = quick(c).benchmark_group("ids_scan");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    let ctx = NfContext::at(SimTime::from_secs(1));
+    let mut rng = Rng::new(7);
+    let mut signatures = IdsConfig::default().signatures;
+    let random_signatures: Vec<Vec<u8>> = (0..255)
+        .map(|_| {
+            let len = rng.range_inclusive(8, 24);
+            (0..len).map(|_| rng.next_u32() as u8).collect()
+        })
+        .collect();
+
+    let mut run = |id: BenchmarkId, signatures: &[Vec<u8>], batch: &PacketBatch, naive: bool| {
+        let mut ids = Ids::new(
+            "bench-ids",
+            IdsConfig {
+                signatures: signatures.to_vec(),
+                ..IdsConfig::default()
+            },
+        );
+        group.throughput(Throughput::Elements(batch.len() as u64));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let batch = black_box(batch.clone());
+                if naive {
+                    black_box(naive_ids_batch(signatures, batch))
+                } else {
+                    black_box(ids.process_batch(batch, Direction::Ingress, &ctx))
+                }
+            })
+        });
+    };
+
+    for payload in [64usize, 1000, 1400] {
+        let batch = ids_scan_batch(&mut rng, payload, None);
+        for count in [1usize, 16, 256] {
+            signatures.truncate(1);
+            signatures.extend_from_slice(&random_signatures[..count - 1]);
+            let param = format!("{payload}/{count}");
+            if (payload, count) == (1000, 1) {
+                run(BenchmarkId::new("naive", &param), &signatures, &batch, true);
+            }
+            run(
+                BenchmarkId::new("scanner", &param),
+                &signatures,
+                &batch,
+                false,
+            );
+        }
+    }
+
+    let near_miss = &signatures[0][..signatures[0].len() - 1];
+    let adversaries = [
+        ("adversarial", signatures[0].clone(), near_miss),
+        (
+            "worst_case",
+            b"AAAAAAAAAABAAAAAAAAAAA".to_vec(),
+            b"A".as_slice(),
+        ),
+    ];
+    for (row, signature, fill) in adversaries {
+        let batch = ids_scan_batch(&mut rng, 1000, Some(fill));
+        let signatures = [signature];
+        for (label, naive) in [("naive", true), ("scanner", false)] {
+            run(BenchmarkId::new(row, label), &signatures, &batch, naive);
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_packet_parsing,
@@ -552,6 +688,7 @@ criterion_group!(
     bench_megaflow_drop,
     bench_batch,
     bench_batch_hot_station,
-    bench_trace_overhead
+    bench_trace_overhead,
+    bench_ids_scan
 );
 criterion_main!(benches);

@@ -6,6 +6,27 @@
 //! one source within a window) and (b) payload signatures, and raises alert
 //! events that the Agent forwards to the Manager. Detection is monitor-only by
 //! default; it can optionally drop offending packets.
+//!
+//! Payload signatures are matched by a Set-Horspool scanner: Horspool's
+//! bad-character skip generalised to a set of patterns (Navarro & Raffinot,
+//! *Flexible Pattern Matching in Strings*, 2002). With `m` the length of the
+//! shortest non-empty signature, the scan slides an `m`-byte window over the
+//! payload and reads only the window's last byte. The signatures whose `m`-th
+//! byte is that byte are compared at the window start; then a 256-entry
+//! shift table moves the window to the byte's rightmost occurrence in any
+//! signature's first `m - 1` bytes, or past the byte when it occurs in none.
+//! On payloads that seldom hold signature bytes the window jumps up to `m`
+//! bytes per step. In the worst case, a payload of one byte repeated that is
+//! also the last two bytes of a signature's `m`-byte prefix, the window
+//! advances one byte per step and each candidate signature is compared once
+//! per position. That is never more comparisons than the naive per-signature
+//! `windows().any(..)` scan the scanner replaced, though its serial table
+//! lookups make such input about twice as slow in wall time
+//! (`ids_scan/worst_case` in the data-plane benches).
+//!
+//! The scanner is built once per [`IdsConfig`], in [`Ids::new`]. It is derived
+//! state: it is not part of [`NfStateSnapshot`] and is never migrated, because
+//! the target station's NF is built from the same configuration.
 
 use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict};
 use crate::spec::NfKind;
@@ -42,10 +63,80 @@ impl Default for IdsConfig {
     }
 }
 
+/// One-pass Set-Horspool matcher over all of an [`IdsConfig`]'s signatures
+/// (see the module docs). Empty signatures never match and are left out.
+struct SignatureScanner {
+    /// Window length: the length of the shortest non-empty signature, or 0
+    /// when there is none (the scanner then matches nothing).
+    window: usize,
+    /// `shift[b]`: how far the window moves after a window ending in `b`:
+    /// the distance from the rightmost `b` in any signature's first
+    /// `window - 1` bytes to the window's end, or `window` when there is
+    /// none. Never 0.
+    shift: [usize; 256],
+    /// `candidates[b]`: the distinct signatures whose byte at `window - 1`
+    /// is `b`, i.e. those that can start at a window ending in `b`.
+    candidates: Vec<Vec<Vec<u8>>>,
+}
+
+impl SignatureScanner {
+    fn new(signatures: &[Vec<u8>]) -> Self {
+        let window = signatures
+            .iter()
+            .map(Vec::len)
+            .filter(|&len| len > 0)
+            .min()
+            .unwrap_or(0);
+        let mut shift = [window; 256];
+        let mut candidates = vec![Vec::new(); 256];
+        for sig in signatures.iter().filter(|sig| !sig.is_empty()) {
+            for (i, &byte) in sig[..window - 1].iter().enumerate() {
+                let slot = &mut shift[usize::from(byte)];
+                *slot = (*slot).min(window - 1 - i);
+            }
+            let bucket = &mut candidates[usize::from(sig[window - 1])];
+            if !bucket.contains(sig) {
+                bucket.push(sig.clone());
+            }
+        }
+        SignatureScanner {
+            window,
+            shift,
+            candidates,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.window == 0
+    }
+
+    /// Whether any signature occurs anywhere in `payload`.
+    fn matches(&self, payload: &[u8]) -> bool {
+        if self.is_empty() || payload.len() < self.window {
+            return false;
+        }
+        let last_start = payload.len() - self.window;
+        let mut start = 0;
+        while start <= last_start {
+            let byte = usize::from(payload[start + self.window - 1]);
+            let rest = &payload[start..];
+            if self.candidates[byte]
+                .iter()
+                .any(|sig| rest.starts_with(sig))
+            {
+                return true;
+            }
+            start += self.shift[byte];
+        }
+        false
+    }
+}
+
 /// The IDS NF.
 pub struct Ids {
     name: String,
     config: IdsConfig,
+    scanner: SignatureScanner,
     syn_counts: BTreeMap<Ipv4Addr, u64>,
     window_start: SimTime,
     alerted_sources: Vec<Ipv4Addr>,
@@ -59,6 +150,7 @@ impl Ids {
     pub fn new(name: &str, config: IdsConfig) -> Self {
         Ids {
             name: name.to_string(),
+            scanner: SignatureScanner::new(&config.signatures),
             config,
             syn_counts: BTreeMap::new(),
             window_start: SimTime::ZERO,
@@ -92,13 +184,6 @@ impl Ids {
         packet.tcp_payload().or_else(|| packet.udp_payload())
     }
 
-    fn matches_signature(&self, payload: &[u8]) -> bool {
-        self.config
-            .signatures
-            .iter()
-            .any(|sig| !sig.is_empty() && payload.windows(sig.len()).any(|w| w == sig.as_slice()))
-    }
-
     /// Inspects one packet (window already rolled): SYN counting plus
     /// signature matching. Works entirely off the fast header scan
     /// (`tcp_flags`/`five_tuple`/raw payload), so the pass-through path
@@ -128,10 +213,8 @@ impl Ids {
         }
 
         // Signature matching.
-        let signature_hit = !self.config.signatures.is_empty()
-            && Self::payload_of(&packet)
-                .map(|p| self.matches_signature(p))
-                .unwrap_or(false);
+        let signature_hit = !self.scanner.is_empty()
+            && Self::payload_of(&packet).is_some_and(|p| self.scanner.matches(p));
         if signature_hit {
             self.signature_matches += 1;
             self.events.push(NfEvent::alert(
@@ -170,7 +253,7 @@ impl NetworkFunction for Ids {
         ctx: &NfContext,
     ) -> Vec<Verdict> {
         // One window roll and one stats add per batch; the per-packet scan
-        // state (SYN counters, signature list) is shared across the batch.
+        // state (SYN counters, signature scanner) is shared across the batch.
         self.stats
             .record_in_batch(batch.len() as u64, batch.total_bytes());
         self.roll_window(ctx.now);
@@ -344,6 +427,149 @@ mod tests {
         );
         assert!(ids.process(benign, Direction::Ingress, &ctx).is_forward());
         assert_eq!(ids.signature_matches(), 0);
+    }
+
+    /// The scan the scanner replaced, kept as its oracle.
+    fn naive_matches(signatures: &[Vec<u8>], payload: &[u8]) -> bool {
+        signatures
+            .iter()
+            .any(|sig| !sig.is_empty() && payload.windows(sig.len()).any(|w| w == sig.as_slice()))
+    }
+
+    fn assert_agrees(signatures: &[Vec<u8>], payload: &[u8]) {
+        assert_eq!(
+            SignatureScanner::new(signatures).matches(payload),
+            naive_matches(signatures, payload),
+            "signatures {signatures:?}, payload {payload:?}"
+        );
+    }
+
+    /// SplitMix64: a dependency-free seeded stream for the oracle loop.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(state: &mut u64, bound: u64) -> usize {
+        (next_u64(state) % bound) as usize
+    }
+
+    #[test]
+    fn scanner_agrees_with_naive_scan_on_random_small_alphabets() {
+        // A 1–4-symbol alphabet makes matches, near misses and overlapping
+        // signatures frequent, which is where a skip table can go wrong.
+        let mut rng = 0x1d5_5ca7;
+        let mut hits = 0;
+        for _ in 0..20_000 {
+            let alphabet = 1 + below(&mut rng, 4) as u64;
+            let symbol = |rng: &mut u64| b'a' + below(rng, alphabet) as u8;
+            let signatures: Vec<Vec<u8>> = (0..below(&mut rng, 6))
+                .map(|_| (0..below(&mut rng, 7)).map(|_| symbol(&mut rng)).collect())
+                .collect();
+            let payload: Vec<u8> = (0..below(&mut rng, 48)).map(|_| symbol(&mut rng)).collect();
+            assert_agrees(&signatures, &payload);
+            hits += usize::from(naive_matches(&signatures, &payload));
+        }
+        assert!(hits > 1_000, "the oracle loop must exercise matches");
+    }
+
+    #[test]
+    fn scanner_edge_cases_agree_with_naive_scan() {
+        let sig = |s: &str| s.as_bytes().to_vec();
+        let cases: Vec<(Vec<Vec<u8>>, &str)> = vec![
+            // No signatures, only empty ones, and empty payloads.
+            (vec![], "anything"),
+            (vec![sig("")], "anything"),
+            (vec![sig(""), sig("")], ""),
+            (vec![sig("abc")], ""),
+            // Empty signatures are skipped, not treated as "matches all".
+            (vec![sig(""), sig("xyz")], "abc"),
+            (vec![sig(""), sig("xyz")], "axyzb"),
+            // Duplicates.
+            (vec![sig("abc"), sig("abc")], "zzabczz"),
+            (vec![sig("abc"), sig("abc")], "zzabzz"),
+            // Single-byte signatures, alone and beside longer ones.
+            (vec![sig("q")], "q"),
+            (vec![sig("q")], "abcq"),
+            (vec![sig("q")], "abc"),
+            (vec![sig("longer-one"), sig("z")], "aaaaaaaz"),
+            (vec![sig("longer-one"), sig("z")], "aaaaaaaa"),
+            // Prefix-overlapping signatures.
+            (vec![sig("ab"), sig("abc"), sig("abcd")], "xxabcd"),
+            (vec![sig("abcd"), sig("abc")], "xxab"),
+            (vec![sig("abcd"), sig("abce")], "abcabcabce"),
+            (vec![sig("aab"), sig("aaab")], "aaaaaaab"),
+            // Signatures longer than the payload.
+            (vec![sig("abcdef")], "abcde"),
+            (vec![sig("abcdef"), sig("cde")], "abcde"),
+            // Matches at offset 0 and ending on the last byte.
+            (vec![sig("head")], "head-of-payload"),
+            (vec![sig("tail")], "payload-tail"),
+            (vec![sig("whole")], "whole"),
+            (vec![sig("ab"), sig("tail")], "payload-tail"),
+        ];
+        for (signatures, payload) in &cases {
+            assert_agrees(signatures, payload.as_bytes());
+        }
+        // Spot-check the oracle itself on the cases that must match.
+        assert!(naive_matches(&[sig("tail")], b"payload-tail"));
+        assert!(naive_matches(&[sig("head")], b"head-of-payload"));
+        assert!(!naive_matches(&[sig("")], b"anything"));
+    }
+
+    #[test]
+    fn batch_and_per_packet_signature_scans_agree() {
+        let config = IdsConfig {
+            signatures: vec![b"EVIL".to_vec(), b"MALWARE-TEST-SIGNATURE".to_vec()],
+            block_on_signature: true,
+            ..IdsConfig::default()
+        };
+        let payloads: [&[u8]; 6] = [
+            b"EVIL at the start",
+            b"clean payload",
+            b"ends with EVIL",
+            b"xxMALWARE-TEST-SIGNATUREyy",
+            b"EVI",
+            b"",
+        ];
+        let packets: Vec<Packet> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, payload)| {
+                let (src, dst, port) = (
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    Ipv4Addr::new(203, 0, 113, 9),
+                    41_000 + i as u16,
+                );
+                let (a, b) = (MacAddr::derived(1, 1), MacAddr::derived(2, 1));
+                if i % 2 == 0 {
+                    builder::tcp_data(a, b, src, dst, port, 80, payload)
+                } else {
+                    builder::udp_packet(a, b, src, dst, port, 53, payload)
+                }
+            })
+            .collect();
+        let ctx = NfContext::at(SimTime::from_secs(1));
+
+        let mut per_packet = Ids::new("ids", config.clone());
+        let one_by_one: Vec<Verdict> = packets
+            .iter()
+            .map(|p| per_packet.process(p.clone(), Direction::Ingress, &ctx))
+            .collect();
+        let mut batched = Ids::new("ids", config);
+        let all_at_once =
+            batched.process_batch(packets.into_iter().collect(), Direction::Ingress, &ctx);
+
+        assert_eq!(all_at_once, one_by_one);
+        let drops: Vec<bool> = one_by_one.iter().map(Verdict::is_drop).collect();
+        assert_eq!(drops, [true, false, true, true, false, false]);
+        assert_eq!(batched.signature_matches(), 3);
+        assert_eq!(batched.signature_matches(), per_packet.signature_matches());
+        assert_eq!(batched.drain_events(), per_packet.drain_events());
+        assert_eq!(batched.stats(), per_packet.stats());
     }
 
     #[test]
