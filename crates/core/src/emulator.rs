@@ -240,6 +240,10 @@ pub struct Emulator {
     /// `GnfConfig::region_size > 0`. Station reports are absorbed here and
     /// reach the Manager as per-region summaries on the flush timer.
     regions: BTreeMap<u64, RegionAggregator>,
+    /// Events after which the Manager's in-flight migration index was
+    /// checked against a full scan (unit tests only).
+    #[cfg(test)]
+    audited_events: u64,
 }
 
 /// Bound on retained fleet metrics samples.
@@ -428,7 +432,8 @@ impl Emulator {
         // The sort is stable, so same-(time, station) packets keep their
         // generation order; ordering across stations at one timestamp is by
         // station id, which is deterministic (and packets to different
-        // stations are independent).
+        // stations are independent). The batches leave in time order, so
+        // they ride the queue's presorted lane instead of the heap.
         traffic.sort_by_key(|(at, station, _, _)| (*at, *station));
         let mut traffic = traffic.into_iter().peekable();
         while let Some((at, station, client, packet)) = traffic.next() {
@@ -440,7 +445,7 @@ impl Emulator {
                 let (_, _, client, packet) = traffic.next().expect("peeked");
                 packets.push((client, packet));
             }
-            queue.schedule_at(at, EmuEvent::PacketBatch { station, packets });
+            queue.schedule_presorted(at, EmuEvent::PacketBatch { station, packets });
         }
 
         let migration_workers = config.migration_workers.max(1);
@@ -469,6 +474,8 @@ impl Emulator {
             flight: FlightRecorder::default(),
             sampler: None,
             regions,
+            #[cfg(test)]
+            audited_events: 0,
         }
     }
 
@@ -609,11 +616,7 @@ impl Emulator {
                 megaflow_hit_rate,
                 flow_entries: flow.entries as u64,
                 megaflow_entries: mega.entries as u64,
-                in_flight_migrations: self
-                    .manager
-                    .migrations()
-                    .filter(|m| !m.is_finished())
-                    .count() as u64,
+                in_flight_migrations: self.manager.in_flight_migrations().len() as u64,
                 dead_stations: self.dead.len() as u64,
                 shard_occupancy,
             });
@@ -815,12 +818,30 @@ impl Emulator {
                     self.check_recoveries(scheduled.time);
                 }
             }
+            #[cfg(test)]
+            self.audit_in_flight_index();
         }
         self.flush_migrations(&mut migrations);
         self.flush_packets(&mut pending);
         self.queue.advance_to(deadline);
         self.sample_metrics(deadline);
         self.build_report(deadline)
+    }
+
+    /// Asserts that the Manager's in-flight index holds exactly the
+    /// migrations a full scan of the history finds unfinished.
+    #[cfg(test)]
+    fn audit_in_flight_index(&mut self) {
+        let mut indexed: Vec<_> = self.manager.in_flight_migrations().map(|m| m.id).collect();
+        indexed.sort();
+        let scanned: Vec<_> = self
+            .manager
+            .migrations()
+            .filter(|m| !m.is_finished())
+            .map(|m| m.id)
+            .collect();
+        assert_eq!(indexed, scanned, "in-flight index at {}", self.queue.now());
+        self.audited_events += 1;
     }
 
     /// The Manager (for dashboards and white-box assertions after a run).
@@ -928,7 +949,7 @@ impl Emulator {
                     .client(client)
                     .ok()
                     .and_then(|c| c.attached_cell);
-                if old_cell == Some(cell) && self.manager.clients().any(|c| c.client == client) {
+                if old_cell == Some(cell) && self.manager.client(client).is_some() {
                     return;
                 }
                 if old_cell.is_some() && old_cell != Some(cell) {
@@ -1242,8 +1263,8 @@ impl Emulator {
     fn precopy_hairpin(&self, client: ClientId, station: StationId) -> Option<StationId> {
         let record = self
             .manager
-            .migrations()
-            .find(|m| m.client == client && m.to == station && m.precopy && !m.is_finished())?;
+            .in_flight_migrations_of(client)
+            .find(|m| m.to == station && m.precopy)?;
         let source = record.from;
         if source == station || self.dead.contains_key(&source) {
             return None;
@@ -1267,11 +1288,7 @@ impl Emulator {
             if site.station != station {
                 continue;
             }
-            for attachment in self
-                .manager
-                .attachments()
-                .filter(|a| a.client == device.client)
-            {
+            for attachment in self.manager.attachments_of(device.client) {
                 // Checking the Agent's deployed chains (not just the
                 // Manager's bookkeeping) rejects the stale pre-crash
                 // "active" state that persists until the re-registration
@@ -1457,9 +1474,10 @@ impl Emulator {
     }
 
     /// Delivers every pending packet event: gap-filters on the main thread
-    /// (control-plane state is frozen between flushes, so the per-client
-    /// attachment scan happens once per client per flush, not once per
-    /// packet), coalesces the survivors into per-station per-timestamp
+    /// (control-plane state is frozen between flushes, so each (client,
+    /// station) resolves its gap state once per flush, through the Manager's
+    /// by-client attachment index and in-flight migration index, never a
+    /// fleet scan), coalesces the survivors into per-station per-timestamp
     /// batches, shards the station work across the configured workers and
     /// merges the results back in station order — the merge is a function of
     /// station ids only, so any worker count produces identical state.
@@ -1499,12 +1517,12 @@ impl Emulator {
             for (client, packet) in group.packets {
                 // Does policy say this client's traffic must traverse a
                 // chain right now, and is that chain ready on this station?
-                // The attachment scan runs once per (client, station) per
+                // The index lookup runs once per (client, station) per
                 // flush; each packet then pays one compare.
                 let state = gap_cache.entry((client, group.station)).or_insert_with(|| {
                     let mut wanted = false;
                     let mut ready: Option<SimTime> = None;
-                    for attachment in self.manager.attachments().filter(|a| a.client == client) {
+                    for attachment in self.manager.attachments_of(client) {
                         wanted = true;
                         let deployed = self
                             .agents
@@ -2018,42 +2036,48 @@ mod tests {
         );
     }
 
-    #[test]
-    fn migration_worker_count_does_not_change_the_report() {
+    /// A mass-roam burst: `clients` smartphone clients on four stations,
+    /// each with one stateful chain from t=1 s, all roam to the next cell at
+    /// `roam_at`, so their migration lifecycles land on the pool at the same
+    /// virtual timestamps. 40 s long.
+    fn roam_storm(config: GnfConfig, clients: usize, roam_at: SimTime) -> Scenario {
         use gnf_edge::RoamTrace;
 
-        // Six clients with stateful chains roam simultaneously: a mass-roam
-        // burst whose migration lifecycles all land on the pool at the same
-        // virtual timestamps.
-        let build = || {
-            let config = GnfConfig {
-                migration_precopy: true,
-                ..Default::default()
-            };
-            let mut builder = Scenario::builder(4, HostClass::EdgeServer);
-            let clients = builder.add_clients(6, TrafficProfile::smartphone());
-            let mut sb = builder
-                .with_config(config)
-                .with_duration(gnf_types::SimDuration::from_secs(40));
-            for client in &clients {
-                sb = sb.attach_policy(
-                    *client,
-                    vec![sample_specs()[0].clone()],
-                    TrafficSelector::all(),
-                    SimTime::from_secs(1),
-                );
-            }
-            let mut trace = RoamTrace::new();
-            for (ix, client) in clients.iter().enumerate() {
-                trace = trace.roam(
-                    SimTime::from_secs(20),
-                    *client,
-                    gnf_types::CellId::new(((ix + 1) % 4) as u64),
-                );
-            }
-            sb.with_mobility(crate::scenario::Mobility::Trace(trace))
-                .build()
-        };
+        let mut builder = Scenario::builder(4, HostClass::EdgeServer);
+        let clients = builder.add_clients(clients, TrafficProfile::smartphone());
+        let mut sb = builder
+            .with_config(config)
+            .with_duration(gnf_types::SimDuration::from_secs(40));
+        for client in &clients {
+            sb = sb.attach_policy(
+                *client,
+                vec![sample_specs()[0].clone()],
+                TrafficSelector::all(),
+                SimTime::from_secs(1),
+            );
+        }
+        let mut trace = RoamTrace::new();
+        for (ix, client) in clients.iter().enumerate() {
+            trace = trace.roam(
+                roam_at,
+                *client,
+                gnf_types::CellId::new(((ix + 1) % 4) as u64),
+            );
+        }
+        sb.with_mobility(crate::scenario::Mobility::Trace(trace))
+            .build()
+    }
+
+    fn precopy_config() -> GnfConfig {
+        GnfConfig {
+            migration_precopy: true,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn migration_worker_count_does_not_change_the_report() {
+        let build = || roam_storm(precopy_config(), 6, SimTime::from_secs(20));
 
         let mut baseline = Emulator::new(build());
         baseline.set_migration_workers(1);
@@ -2089,6 +2113,49 @@ mod tests {
             serde_json::to_string(&report_capped).unwrap(),
             "queue cap must not leak into the RunReport"
         );
+    }
+
+    #[test]
+    fn in_flight_index_tracks_a_crashing_precopy_roam_storm() {
+        use crate::chaos::{FaultKind, FaultSchedule};
+        use gnf_manager::MigrationPhase;
+
+        // Station 1 crashes 50 ms into an eight-client pre-copy roam storm,
+        // mid-pipeline for the migrations into and out of it. Under a short
+        // deadline they time out, roll back and retry, while
+        // `audit_in_flight_index` checks the index after every event.
+        let build = || {
+            let config = GnfConfig {
+                migration_deadline: gnf_types::SimDuration::from_secs(2),
+                ..precopy_config()
+            };
+            roam_storm(config, 8, SimTime::from_secs(20))
+        };
+        let mut faults = FaultSchedule::new();
+        faults.push(
+            SimTime::from_millis(20_050),
+            FaultKind::StationCrash {
+                station: gnf_types::StationId::new(1),
+                down_for: gnf_types::SimDuration::from_secs(5),
+            },
+        );
+
+        let mut reports = Vec::new();
+        for migration_workers in [1usize, 2] {
+            let mut emulator = Emulator::new(build());
+            emulator.set_fault_schedule(faults.clone());
+            emulator.set_migration_workers(migration_workers);
+            let report = emulator.run();
+            assert!(emulator.audited_events > 500);
+            let phases: Vec<MigrationPhase> =
+                emulator.manager().migrations().map(|m| m.phase).collect();
+            assert!(
+                phases.contains(&MigrationPhase::TimedOut),
+                "the crash must abort some migration: {phases:?}"
+            );
+            reports.push(serde_json::to_string(&report).unwrap());
+        }
+        assert_eq!(reports[0], reports[1]);
     }
 
     #[test]
@@ -2274,35 +2341,7 @@ mod tests {
     /// and rejoined), so one run produces migration spans, fault instants
     /// and a crash→reconvergence recovery window in the same trace.
     fn observability_scenario() -> Scenario {
-        use gnf_edge::RoamTrace;
-
-        let config = GnfConfig {
-            migration_precopy: true,
-            ..Default::default()
-        };
-        let mut builder = Scenario::builder(4, HostClass::EdgeServer);
-        let clients = builder.add_clients(6, TrafficProfile::smartphone());
-        let mut sb = builder
-            .with_config(config)
-            .with_duration(gnf_types::SimDuration::from_secs(40));
-        for client in &clients {
-            sb = sb.attach_policy(
-                *client,
-                vec![sample_specs()[0].clone()],
-                TrafficSelector::all(),
-                SimTime::from_secs(1),
-            );
-        }
-        let mut trace = RoamTrace::new();
-        for (ix, client) in clients.iter().enumerate() {
-            trace = trace.roam(
-                SimTime::from_secs(25),
-                *client,
-                gnf_types::CellId::new(((ix + 1) % 4) as u64),
-            );
-        }
-        sb.with_mobility(crate::scenario::Mobility::Trace(trace))
-            .build()
+        roam_storm(precopy_config(), 6, SimTime::from_secs(25))
     }
 
     fn observability_fault_schedule() -> crate::chaos::FaultSchedule {

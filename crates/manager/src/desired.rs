@@ -127,6 +127,16 @@ impl DesiredState {
         Some(result)
     }
 
+    /// The attachments of `client`, in chain order, borrowed through the
+    /// by-client index.
+    pub(crate) fn of_client(&self, client: ClientId) -> impl Iterator<Item = &AttachmentRecord> {
+        self.by_client
+            .get(&client)
+            .into_iter()
+            .flatten()
+            .map(|chain| &self.attachments[chain])
+    }
+
     /// Chains attached to `client`, in chain order.
     pub(crate) fn chains_of_client(&self, client: ClientId) -> Vec<ChainId> {
         self.by_client
@@ -218,6 +228,43 @@ mod tests {
             state.chains_on_station(StationId::new(6)),
             vec![ChainId::new(2)]
         );
+    }
+
+    #[test]
+    fn client_index_matches_a_filtered_scan_under_random_churn() {
+        let mut state = DesiredState::new();
+        // xorshift64: a fixed seed, so the churn is the same on every run.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for _ in 0..4000 {
+            let chain = next(48);
+            match next(3) {
+                // Re-inserting a live chain may move it to another client.
+                0 => state.insert(attachment(chain, next(6), Some(next(4)))),
+                1 => {
+                    let station = Some(StationId::new(next(4)));
+                    state.update(ChainId::new(chain), |a| a.station = station);
+                }
+                _ => {
+                    state.remove(ChainId::new(chain));
+                }
+            }
+            for client in (0..6).map(ClientId::new) {
+                let indexed: Vec<ChainId> = state.of_client(client).map(|a| a.chain).collect();
+                let scanned: Vec<ChainId> = state
+                    .iter()
+                    .filter(|a| a.client == client)
+                    .map(|a| a.chain)
+                    .collect();
+                assert_eq!(indexed, scanned);
+                assert_eq!(state.chains_of_client(client), scanned);
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,107 @@ struct RetryPlan {
     attempt: u32,
 }
 
+/// Bookkeeping kept in step with every migration phase transition.
+#[derive(Default)]
+struct PhaseBook {
+    /// Migration-lifecycle event sink: one span per phase a migration
+    /// passes through, one instant per terminal outcome. Disabled by
+    /// default (a single branch per phase transition).
+    trace: TraceSink,
+    /// When each in-flight migration entered its current phase, for the
+    /// phase spans. Only populated while tracing is enabled; terminal
+    /// outcomes clear their entry.
+    entered: BTreeMap<MigrationId, SimTime>,
+    /// Every migration not in a terminal phase, keyed by client and then by
+    /// id, so one client's in-flight migrations are a range in id order.
+    in_flight: BTreeSet<(ClientId, MigrationId)>,
+}
+
+impl PhaseBook {
+    /// Registers a freshly created (non-terminal) migration.
+    fn start(&mut self, record: &MigrationRecord) {
+        self.in_flight.insert((record.client, record.id));
+    }
+
+    /// Moves `record` into `phase`: emits the span of the phase it leaves,
+    /// re-files it in the in-flight index and, for a terminal phase, emits
+    /// the outcome instant. A `TimedOut` record can leave its terminal phase
+    /// again (a late success), so the index follows the phase both ways.
+    fn set(&mut self, record: &mut MigrationRecord, phase: MigrationPhase, now: SimTime) {
+        self.phase_left(record, now);
+        record.phase = phase;
+        let key = (record.client, record.id);
+        if record.is_finished() {
+            self.in_flight.remove(&key);
+            self.outcome(record, now);
+        } else {
+            self.in_flight.insert(key);
+        }
+    }
+
+    /// Stable span label of a migration phase. The pre-copy pipeline renders
+    /// as `PreCopy → Prepare → Delta → Activate`, the classic path as
+    /// `Checkpoint → Deploy`, both tailed by `RemoveOld`.
+    fn label(phase: MigrationPhase) -> &'static str {
+        match phase {
+            MigrationPhase::AwaitingState => "Checkpoint",
+            MigrationPhase::AwaitingPreCopy => "PreCopy",
+            MigrationPhase::Preparing => "Prepare",
+            MigrationPhase::AwaitingDelta => "Delta",
+            MigrationPhase::SwitchingOver => "Activate",
+            MigrationPhase::Deploying => "Deploy",
+            MigrationPhase::RemovingOld => "RemoveOld",
+            MigrationPhase::Complete => "Complete",
+            MigrationPhase::Failed => "Failed",
+            MigrationPhase::TimedOut => "TimedOut",
+        }
+    }
+
+    /// Emits the span of the phase `record` is about to leave.
+    fn phase_left(&mut self, record: &MigrationRecord, now: SimTime) {
+        if !self.trace.enabled() {
+            return;
+        }
+        let since = self
+            .entered
+            .insert(record.id, now)
+            .unwrap_or(record.started_at);
+        self.trace.emit(
+            now,
+            TraceKind::MigrationPhase {
+                migration: record.id.raw(),
+                client: record.client.raw(),
+                phase: Self::label(record.phase),
+                since,
+            },
+        );
+    }
+
+    /// Emits the terminal-outcome instant for a migration whose phase is
+    /// already terminal, and drops its phase-clock entry.
+    fn outcome(&mut self, record: &MigrationRecord, now: SimTime) {
+        self.entered.remove(&record.id);
+        if !self.trace.enabled() {
+            return;
+        }
+        let outcome = match record.phase {
+            MigrationPhase::Complete => "complete",
+            MigrationPhase::Failed => "failed",
+            MigrationPhase::TimedOut => "timed-out",
+            _ => return,
+        };
+        self.trace.emit(
+            now,
+            TraceKind::MigrationOutcome {
+                migration: record.id.raw(),
+                client: record.client.raw(),
+                outcome,
+                attempt: record.attempt as u64,
+            },
+        );
+    }
+}
+
 /// The GNF Manager.
 pub struct Manager {
     config: GnfConfig,
@@ -181,14 +282,9 @@ pub struct Manager {
     region_summaries: BTreeMap<u64, RegionSummary>,
     /// Stations last reported offline per region, to notify only on edges.
     region_offline: BTreeMap<u64, BTreeSet<StationId>>,
-    /// Migration-lifecycle event sink: one span per phase a migration
-    /// passes through, one instant per terminal outcome. Disabled by
-    /// default (a single branch per phase transition).
-    trace: TraceSink,
-    /// When each in-flight migration entered its current phase, for the
-    /// phase spans. Only populated while tracing is enabled; terminal
-    /// outcomes clear their entry.
-    phase_entered: BTreeMap<MigrationId, SimTime>,
+    /// Every migration phase transition goes through here: the lifecycle
+    /// trace and the in-flight index.
+    phases: PhaseBook,
 }
 
 impl Manager {
@@ -220,92 +316,19 @@ impl Manager {
             region_summaries_ingested: 0,
             region_summaries: BTreeMap::new(),
             region_offline: BTreeMap::new(),
-            trace: TraceSink::default(),
-            phase_entered: BTreeMap::new(),
+            phases: PhaseBook::default(),
         }
     }
 
     /// Arms (or disarms) the migration-lifecycle event sink. Disabled by
     /// default: one branch per phase transition, nothing recorded.
     pub fn set_tracing(&mut self, trace: TraceSink) {
-        self.trace = trace;
+        self.phases.trace = trace;
     }
 
     /// Mutable access to the event sink, for the harness to drain.
     pub fn trace_mut(&mut self) -> &mut TraceSink {
-        &mut self.trace
-    }
-
-    /// Stable span label of a migration phase. The pre-copy pipeline renders
-    /// as `PreCopy → Prepare → Delta → Activate`, the classic path as
-    /// `Checkpoint → Deploy`, both tailed by `RemoveOld`.
-    fn phase_label(phase: MigrationPhase) -> &'static str {
-        match phase {
-            MigrationPhase::AwaitingState => "Checkpoint",
-            MigrationPhase::AwaitingPreCopy => "PreCopy",
-            MigrationPhase::Preparing => "Prepare",
-            MigrationPhase::AwaitingDelta => "Delta",
-            MigrationPhase::SwitchingOver => "Activate",
-            MigrationPhase::Deploying => "Deploy",
-            MigrationPhase::RemovingOld => "RemoveOld",
-            MigrationPhase::Complete => "Complete",
-            MigrationPhase::Failed => "Failed",
-            MigrationPhase::TimedOut => "TimedOut",
-        }
-    }
-
-    /// Emits the span of the phase `record` is about to leave (call *before*
-    /// overwriting `record.phase`). An associated function over disjoint
-    /// field borrows, because every call site holds `record` borrowed out of
-    /// `self.migrations`.
-    fn trace_phase_left(
-        trace: &mut TraceSink,
-        entered: &mut BTreeMap<MigrationId, SimTime>,
-        record: &MigrationRecord,
-        now: SimTime,
-    ) {
-        if !trace.enabled() {
-            return;
-        }
-        let since = entered.insert(record.id, now).unwrap_or(record.started_at);
-        trace.emit(
-            now,
-            TraceKind::MigrationPhase {
-                migration: record.id.raw(),
-                client: record.client.raw(),
-                phase: Self::phase_label(record.phase),
-                since,
-            },
-        );
-    }
-
-    /// Emits the terminal-outcome instant for a migration whose phase is
-    /// already terminal, and drops its phase-clock entry.
-    fn trace_outcome(
-        trace: &mut TraceSink,
-        entered: &mut BTreeMap<MigrationId, SimTime>,
-        record: &MigrationRecord,
-        now: SimTime,
-    ) {
-        entered.remove(&record.id);
-        if !trace.enabled() {
-            return;
-        }
-        let outcome = match record.phase {
-            MigrationPhase::Complete => "complete",
-            MigrationPhase::Failed => "failed",
-            MigrationPhase::TimedOut => "timed-out",
-            _ => return,
-        };
-        trace.emit(
-            now,
-            TraceKind::MigrationOutcome {
-                migration: record.id.raw(),
-                client: record.client.raw(),
-                outcome,
-                attempt: record.attempt as u64,
-            },
-        );
+        &mut self.phases.trace
     }
 
     // ------------------------------------------------------------------
@@ -671,10 +694,8 @@ impl Manager {
                 continue;
             };
             let aborted_in = record.phase;
-            Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-            record.phase = MigrationPhase::TimedOut;
+            self.phases.set(record, MigrationPhase::TimedOut, now);
             record.failure = Some("migration deadline exceeded".into());
-            Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
             let record = record.clone();
             self.stats.migrations_timed_out += 1;
             // Roll back: under make-before-break the source chain never
@@ -795,6 +816,7 @@ impl Manager {
                     // confirmation alone completes this record (the
                     // timestamp is bumped then).
                     record.completed_at = Some(now);
+                    self.phases.start(&record);
                     self.migrations.insert(id, record);
                     self.stats.migrations_started += 1;
                     let mut updated = attachment;
@@ -880,9 +902,21 @@ impl Manager {
         self.clients.values()
     }
 
+    /// One known client.
+    pub fn client(&self, client: ClientId) -> Option<&ClientRecord> {
+        self.clients.get(&client)
+    }
+
     /// Chain attachments.
     pub fn attachments(&self) -> impl Iterator<Item = &AttachmentRecord> {
         self.desired.iter()
+    }
+
+    /// The chains attached to one client, in chain order, through the
+    /// by-client index: `O(log n)` to find them, no fleet scan and no
+    /// allocation.
+    pub fn attachments_of(&self, client: ClientId) -> impl Iterator<Item = &AttachmentRecord> {
+        self.desired.of_client(client)
     }
 
     /// One attachment.
@@ -893,6 +927,26 @@ impl Manager {
     /// Migration history (including in-flight migrations).
     pub fn migrations(&self) -> impl Iterator<Item = &MigrationRecord> {
         self.migrations.values()
+    }
+
+    /// Every migration not yet in a terminal phase, ordered by client and
+    /// then by id. Its `len()` is the in-flight count, without a scan.
+    pub fn in_flight_migrations(&self) -> impl ExactSizeIterator<Item = &MigrationRecord> {
+        self.phases
+            .in_flight
+            .iter()
+            .map(|(_, id)| &self.migrations[id])
+    }
+
+    /// One client's in-flight migrations, in id order.
+    pub fn in_flight_migrations_of(
+        &self,
+        client: ClientId,
+    ) -> impl Iterator<Item = &MigrationRecord> {
+        self.phases
+            .in_flight
+            .range((client, MigrationId::new(0))..=(client, MigrationId::new(u64::MAX)))
+            .map(|(_, id)| &self.migrations[id])
     }
 
     /// The notification log.
@@ -1090,6 +1144,7 @@ impl Manager {
             record.precopy = true;
             record.phase = MigrationPhase::AwaitingPreCopy;
         }
+        self.phases.start(&record);
         self.migrations.insert(id, record);
         self.stats.migrations_started += 1;
         self.notifications.raise(
@@ -1162,8 +1217,7 @@ impl Manager {
             return Vec::new();
         }
         record.state_bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::Deploying;
+        self.phases.set(record, MigrationPhase::Deploying, now);
         let to = record.to;
         // The attachment is deliberately NOT updated here: the source chain
         // keeps serving during the restore, so the attachment keeps pointing
@@ -1196,8 +1250,7 @@ impl Manager {
             return Vec::new();
         }
         record.state_bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::Preparing;
+        self.phases.set(record, MigrationPhase::Preparing, now);
         let to = record.to;
         let Some(attachment) = self.desired.get(chain) else {
             return Vec::new();
@@ -1237,8 +1290,7 @@ impl Manager {
         }
         // The staged target is ready: the switchover window opens now, with
         // the request for the source's dirty delta.
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::AwaitingDelta;
+        self.phases.set(record, MigrationPhase::AwaitingDelta, now);
         record.switchover_started_at = Some(now);
         let (from, client) = (record.from, record.client);
         vec![ManagerAction::send(
@@ -1265,8 +1317,7 @@ impl Manager {
             return Vec::new();
         }
         record.delta_bytes = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::SwitchingOver;
+        self.phases.set(record, MigrationPhase::SwitchingOver, now);
         let (to, client) = (record.to, record.client);
         vec![ManagerAction::send(
             to,
@@ -1328,13 +1379,7 @@ impl Manager {
                         | MigrationPhase::TimedOut
                 ) {
                     if record.with_state {
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::RemovingOld;
+                        self.phases.set(record, MigrationPhase::RemovingOld, now);
                         actions.push(ManagerAction::send(
                             record.from,
                             ManagerToAgent::RemoveChain {
@@ -1349,26 +1394,14 @@ impl Manager {
                         // — or there is nothing to remove; deployment
                         // completes the migration unless the removal is
                         // still outstanding (handled in on_chain_removed).
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
                         if let Some(done) = record.completed_at {
-                            record.phase = MigrationPhase::Complete;
                             if done < now {
                                 record.completed_at = Some(now);
                             }
+                            self.phases.set(record, MigrationPhase::Complete, now);
                             self.stats.migrations_completed += 1;
-                            Self::trace_outcome(
-                                &mut self.trace,
-                                &mut self.phase_entered,
-                                record,
-                                now,
-                            );
                         } else {
-                            record.phase = MigrationPhase::RemovingOld;
+                            self.phases.set(record, MigrationPhase::RemovingOld, now);
                         }
                     }
                 }
@@ -1397,14 +1430,7 @@ impl Manager {
                     }
                     record.completed_at = Some(now);
                     if record.service_restored_at.is_some() {
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::Complete;
-                        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
+                        self.phases.set(record, MigrationPhase::Complete, now);
                         self.stats.migrations_completed += 1;
                         self.notifications.raise(
                             now,
@@ -1476,14 +1502,7 @@ impl Manager {
                 if error.category() == "not_found" && record.phase == MigrationPhase::RemovingOld {
                     if let Some(record) = self.migrations.get_mut(&id) {
                         record.completed_at = Some(now);
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::Complete;
-                        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
+                        self.phases.set(record, MigrationPhase::Complete, now);
                         self.stats.migrations_completed += 1;
                     }
                     return Vec::new();
@@ -1503,10 +1522,8 @@ impl Manager {
             if let Some(record) = self.migrations.get_mut(&id) {
                 if !record.is_finished() {
                     let failed_in = record.phase;
-                    Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-                    record.phase = MigrationPhase::Failed;
+                    self.phases.set(record, MigrationPhase::Failed, now);
                     record.failure = Some(error.to_string());
-                    Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
                     let record = record.clone();
                     self.stats.migrations_failed += 1;
                     // Roll back exactly as a timeout would, and retry with
@@ -2193,6 +2210,107 @@ mod tests {
         let attachment = m.attachment(chain).unwrap();
         assert_eq!(attachment.station, Some(StationId::new(1)));
         assert!(attachment.active);
+    }
+
+    #[test]
+    fn in_flight_index_follows_a_late_success_out_of_and_back_into_flight() {
+        // The index, per client and fleet-wide, against a history scan.
+        let in_flight = |m: &Manager| {
+            let scanned: Vec<MigrationId> = m
+                .migrations()
+                .filter(|r| !r.is_finished())
+                .map(|r| r.id)
+                .collect();
+            let indexed: Vec<MigrationId> = m.in_flight_migrations().map(|r| r.id).collect();
+            let of_client: Vec<MigrationId> = m
+                .in_flight_migrations_of(ClientId::new(0))
+                .map(|r| r.id)
+                .collect();
+            assert_eq!(indexed, scanned);
+            assert_eq!(of_client, scanned);
+            scanned
+        };
+        let mut m = manager();
+        register(&mut m, 0, SimTime::ZERO);
+        register(&mut m, 1, SimTime::ZERO);
+        connect_client(&mut m, 0, 0, SimTime::from_secs(1));
+        let (chain, _) = m
+            .attach_chain(
+                ClientId::new(0),
+                firewall_spec(),
+                TrafficSelector::all(),
+                SimTime::from_secs(2),
+            )
+            .unwrap();
+        m.handle_agent_msg(
+            StationId::new(0),
+            AgentToManager::ChainDeployed {
+                chain,
+                client: ClientId::new(0),
+                latency: SimDuration::from_millis(100),
+                images_cached: true,
+                migration: None,
+            },
+            SimTime::from_secs(3),
+        );
+        assert!(in_flight(&m).is_empty());
+        let actions = connect_client(&mut m, 1, 0, SimTime::from_secs(10));
+        let ManagerAction::Send { message, .. } = &actions[0];
+        let ManagerToAgent::CheckpointChain { migration, .. } = message else {
+            panic!("expected a checkpoint, got {message:?}")
+        };
+        let id = *migration;
+        assert_eq!(in_flight(&m), vec![id]);
+        m.handle_agent_msg(
+            StationId::new(0),
+            AgentToManager::ChainState {
+                chain,
+                client: ClientId::new(0),
+                migration: id,
+                state: vec![],
+                checkpoint_latency: SimDuration::from_millis(10),
+            },
+            SimTime::from_secs(11),
+        );
+        assert_eq!(in_flight(&m), vec![id]);
+
+        // The deadline aborts the deploy: out of flight.
+        m.tick(SimTime::from_secs(30));
+        assert_eq!(m.stats().migrations_timed_out, 1);
+        assert!(in_flight(&m).is_empty());
+
+        // The deploy confirmation outran its abort: the migration is revived
+        // and back in flight until the source confirms the removal.
+        m.handle_agent_msg(
+            StationId::new(1),
+            AgentToManager::ChainDeployed {
+                chain,
+                client: ClientId::new(0),
+                latency: SimDuration::from_millis(250),
+                images_cached: true,
+                migration: Some(id),
+            },
+            SimTime::from_secs(30),
+        );
+        assert_eq!(
+            m.migrations().next().unwrap().phase,
+            MigrationPhase::RemovingOld
+        );
+        assert_eq!(in_flight(&m), vec![id]);
+        m.handle_agent_msg(
+            StationId::new(0),
+            AgentToManager::ChainRemoved {
+                chain,
+                client: ClientId::new(0),
+                migration: Some(id),
+            },
+            SimTime::from_secs(31),
+        );
+        assert_eq!(
+            m.migrations().next().unwrap().phase,
+            MigrationPhase::Complete
+        );
+        assert!(in_flight(&m).is_empty());
     }
 
     #[test]

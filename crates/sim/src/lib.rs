@@ -12,8 +12,8 @@
 //!
 //! The kernel is deliberately tiny and domain-agnostic:
 //!
-//! * [`queue::EventQueue`] — a time-ordered event queue with a virtual clock
-//!   and deterministic tie-breaking.
+//! * [`queue::EventQueue`] — a time-ordered event queue with a virtual clock,
+//!   deterministic tie-breaking and a FIFO lane for presorted events.
 //! * [`rng::Rng`] — a PCG-32 PRNG with named sub-streams and the handful of
 //!   distributions the edge/traffic models need.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
