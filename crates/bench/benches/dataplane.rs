@@ -676,6 +676,66 @@ fn bench_ids_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// Frame construction, one frame per iteration: the builders the traffic
+/// generators call for every packet they emit (a connection-opening SYN, an
+/// HTTP GET, a DNS query and constant-bit-rate UDP payloads of 200 and
+/// 1000 bytes written in place).
+fn bench_packet_build(c: &mut Criterion) {
+    let mut group = quick(c).benchmark_group("packet_build");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    group.throughput(Throughput::Elements(1));
+    let (src_mac, dst_mac) = (MacAddr::derived(1, 1), MacAddr::derived(0xA0, 0));
+    let (src_ip, dst_ip) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(203, 0, 113, 10));
+    group.bench_function("tcp_syn", |b| {
+        b.iter(|| builder::tcp_syn(src_mac, dst_mac, src_ip, dst_ip, black_box(40_000), 80))
+    });
+    group.bench_function("http_get", |b| {
+        b.iter(|| {
+            builder::http_get(
+                src_mac,
+                dst_mac,
+                src_ip,
+                dst_ip,
+                black_box(40_000),
+                black_box("www.gla.ac.uk"),
+                black_box("/obj/42"),
+            )
+        })
+    });
+    group.bench_function("dns_query", |b| {
+        b.iter(|| {
+            builder::dns_query(
+                src_mac,
+                dst_mac,
+                src_ip,
+                Ipv4Addr::new(8, 8, 8, 8),
+                black_box(20_000),
+                black_box(7),
+                black_box("svc.edge.example"),
+            )
+        })
+    });
+    for payload in [200usize, 1000] {
+        group.bench_with_input(BenchmarkId::new("udp", payload), &payload, |b, &payload| {
+            b.iter(|| {
+                builder::udp_fill(
+                    src_mac,
+                    dst_mac,
+                    src_ip,
+                    dst_ip,
+                    black_box(20_000),
+                    5_004,
+                    0xAB,
+                    black_box(payload),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_packet_parsing,
@@ -689,6 +749,7 @@ criterion_group!(
     bench_batch,
     bench_batch_hot_station,
     bench_trace_overhead,
-    bench_ids_scan
+    bench_ids_scan,
+    bench_packet_build
 );
 criterion_main!(benches);

@@ -8,11 +8,12 @@
 
 use crate::topology::{ClientDevice, StationSite};
 use gnf_packet::{builder, Packet};
-use gnf_sim::Rng;
+use gnf_sim::{Rng, Zipf};
 use gnf_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::LazyLock;
 
 /// The application mix a client generates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,6 +70,15 @@ const WEB_HOSTS: [&str; 8] = [
     "mail.example",
     "svc.edge.example",
 ];
+
+/// Host popularity of web browsing (Zipf exponent 1.1) and of DNS-heavy
+/// chatter (exponent 1.0), shared by every client's generator.
+static WEB_HOST_RANKS: LazyLock<Zipf> = LazyLock::new(|| Zipf::new(WEB_HOSTS.len(), 1.1));
+static DNS_HOST_RANKS: LazyLock<Zipf> = LazyLock::new(|| Zipf::new(WEB_HOSTS.len(), 1.0));
+
+/// The pages web browsing requests, `/page/1` to `/page/50`, formatted once.
+static PAGE_PATHS: LazyLock<Vec<String>> =
+    LazyLock::new(|| (1..=50).map(|page| format!("/page/{page}")).collect());
 
 /// Generates a client's upstream workload.
 #[derive(Debug, Clone)]
@@ -150,7 +160,7 @@ impl TrafficGenerator {
     }
 
     fn next_web_packet(&mut self, client: &ClientDevice, site: &StationSite) -> Packet {
-        let rank = self.rng.zipf(WEB_HOSTS.len(), 1.1);
+        let rank = WEB_HOST_RANKS.sample(&mut self.rng);
         let host = WEB_HOSTS[rank];
         // One third of web events are the DNS lookup, the rest the HTTP GET.
         if self.rng.chance(0.33) {
@@ -166,7 +176,7 @@ impl TrafficGenerator {
             )
         } else {
             let server = self.server_ip_for(rank);
-            let path_ix = self.rng.range_inclusive(1, 50);
+            let page = self.rng.range_inclusive(1, 50) as usize;
             let port = match self.http_ports.get(&rank) {
                 Some(port) => *port,
                 None => {
@@ -182,26 +192,27 @@ impl TrafficGenerator {
                 server,
                 port,
                 host,
-                &format!("/page/{path_ix}"),
+                &PAGE_PATHS[page - 1],
             )
         }
     }
 
     fn cbr_packet(&mut self, client: &ClientDevice, site: &StationSite, payload: usize) -> Packet {
-        builder::udp_packet(
+        builder::udp_fill(
             client.mac,
             site.gateway_mac,
             client.ip,
             Ipv4Addr::new(203, 0, 113, 200),
             5_004,
             5_004,
-            &vec![0xAB; payload],
+            0xAB,
+            payload,
         )
     }
 
     fn dns_packet(&mut self, client: &ClientDevice, site: &StationSite) -> Packet {
         self.dns_id = self.dns_id.wrapping_add(1);
-        let rank = self.rng.zipf(WEB_HOSTS.len(), 1.0);
+        let rank = DNS_HOST_RANKS.sample(&mut self.rng);
         builder::dns_query(
             client.mac,
             site.gateway_mac,

@@ -8,10 +8,8 @@
 use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use bytes::BytesMut;
-use gnf_packet::ethernet::EthernetHeader;
-use gnf_packet::ipv4::Ipv4Header;
-use gnf_packet::{FiveTuple, IpProtocol, Packet, TcpHeader, UdpHeader};
+use gnf_packet::builder::{self, Transport};
+use gnf_packet::{FiveTuple, IpProtocol, Ipv4Header, Packet, TcpHeader};
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -87,8 +85,10 @@ impl Nat {
         candidate
     }
 
-    /// Rebuilds a packet with rewritten IPv4 addresses and transport ports,
-    /// preserving every other header field and the payload.
+    /// Rebuilds a packet with rewritten IPv4 addresses and transport ports
+    /// through the builder's single-buffer frame writer, preserving the
+    /// Ethernet addresses, every IPv4 field but the options, every TCP
+    /// field and the payload. UDP lengths and both checksums are recomputed.
     fn rewrite(
         packet: &Packet,
         new_src: Ipv4Addr,
@@ -97,46 +97,44 @@ impl Nat {
         new_dst_port: u16,
     ) -> Option<Packet> {
         let ip = packet.ipv4()?;
-        let eth = packet.ethernet();
-
-        let mut new_ip = ip.clone();
-        new_ip.src = new_src;
-        new_ip.dst = new_dst;
-
-        let mut l4 = BytesMut::new();
-        match ip.protocol {
+        let ip_out = Ipv4Header {
+            src: new_src,
+            dst: new_dst,
+            options: Vec::new(),
+            ..*ip
+        };
+        let tcp_out;
+        let (transport, payload) = match ip.protocol {
             IpProtocol::Tcp => {
-                let tcp = packet.tcp()?;
-                let payload = packet.tcp_payload().unwrap_or(&[]);
-                let mut new_tcp: TcpHeader = tcp.clone();
-                new_tcp.src_port = new_src_port;
-                new_tcp.dst_port = new_dst_port;
-                new_tcp.emit(&mut l4, new_src, new_dst, payload);
+                tcp_out = TcpHeader {
+                    src_port: new_src_port,
+                    dst_port: new_dst_port,
+                    ..packet.tcp()?.clone()
+                };
+                (
+                    Transport::Tcp(&tcp_out),
+                    packet.tcp_payload().unwrap_or(&[]),
+                )
             }
             IpProtocol::Udp => {
-                let udp = packet.udp()?;
-                let payload = packet.udp_payload().unwrap_or(&[]);
-                let new_udp = UdpHeader::new(new_src_port, new_dst_port, payload.len());
-                let _ = udp; // lengths are recomputed from the payload
-                new_udp.emit(&mut l4, new_src, new_dst, payload);
+                // The UDP length is recomputed from the payload.
+                packet.udp()?;
+                (
+                    Transport::Udp {
+                        src_port: new_src_port,
+                        dst_port: new_dst_port,
+                    },
+                    packet.udp_payload().unwrap_or(&[]),
+                )
             }
             _ => return None,
-        }
-
-        let new_eth = EthernetHeader {
-            dst: eth.dst,
-            src: eth.src,
-            ethertype: eth.ethertype,
         };
-        let mut frame = BytesMut::with_capacity(14 + 20 + l4.len());
-        new_eth.emit(&mut frame);
-        let ip_out = Ipv4Header {
-            options: Vec::new(),
-            ..new_ip
-        };
-        ip_out.emit(&mut frame, l4.len());
-        frame.extend_from_slice(&l4);
-        Packet::parse(frame.freeze()).ok()
+        let eth = packet.ethernet();
+        let frame =
+            builder::ipv4_frame(eth.src, eth.dst, &ip_out, transport, payload.len(), |out| {
+                out.extend_from_slice(payload)
+            });
+        Packet::parse(frame).ok()
     }
 }
 
@@ -433,5 +431,112 @@ mod tests {
             .into_forwarded()
             .unwrap();
         assert_eq!(fresh.tcp().unwrap().src_port, NAT_PORT_BASE + 1);
+    }
+
+    /// The three-buffer rewrite the frame writer replaced: the transport
+    /// segment, then IPv4 around it, then Ethernet around that.
+    fn layered_rewrite(
+        packet: &Packet,
+        new_src: Ipv4Addr,
+        new_dst: Ipv4Addr,
+        new_src_port: u16,
+        new_dst_port: u16,
+    ) -> Vec<u8> {
+        use bytes::BytesMut;
+        use gnf_packet::{EthernetHeader, UdpHeader};
+        let ip = packet.ipv4().unwrap();
+        let mut l4 = BytesMut::new();
+        if let Some(tcp) = packet.tcp() {
+            let mut new_tcp = tcp.clone();
+            new_tcp.src_port = new_src_port;
+            new_tcp.dst_port = new_dst_port;
+            new_tcp.emit(&mut l4, new_src, new_dst, packet.tcp_payload().unwrap());
+        } else {
+            let payload = packet.udp_payload().unwrap();
+            UdpHeader::new(new_src_port, new_dst_port, payload.len())
+                .emit(&mut l4, new_src, new_dst, payload);
+        }
+        let eth = packet.ethernet();
+        let mut frame = BytesMut::new();
+        EthernetHeader {
+            dst: eth.dst,
+            src: eth.src,
+            ethertype: eth.ethertype,
+        }
+        .emit(&mut frame);
+        let ip_out = Ipv4Header {
+            src: new_src,
+            dst: new_dst,
+            options: Vec::new(),
+            ..ip.clone()
+        };
+        ip_out.emit(&mut frame, l4.len());
+        frame.extend_from_slice(&l4);
+        frame.to_vec()
+    }
+
+    /// A TCP frame with IPv4 and TCP options and non-default header fields,
+    /// which the rewrite must carry over (IPv4 options excepted).
+    fn tcp_with_options(payload: &[u8]) -> Packet {
+        use bytes::BytesMut;
+        use gnf_packet::{EtherType, EthernetHeader, TcpFlags};
+        let mut tcp = TcpHeader::new(51_000, 443, TcpFlags::ACK);
+        tcp.seq = 0xdead_beef;
+        tcp.ack = 0x0102_0304;
+        tcp.window = 1_234;
+        tcp.urgent = 7;
+        tcp.options = vec![2, 4, 5, 180, 1, 1, 4, 2];
+        let mut l4 = BytesMut::new();
+        tcp.emit(&mut l4, client_ip(), server_ip(), payload);
+        let mut ip = Ipv4Header::new(client_ip(), server_ip(), IpProtocol::Tcp, l4.len());
+        ip.dscp_ecn = 0xb8;
+        ip.identification = 0x4242;
+        ip.dont_fragment = false;
+        ip.ttl = 17;
+        ip.options = vec![1, 1, 1, 0];
+        let mut frame = BytesMut::new();
+        EthernetHeader {
+            dst: MacAddr::derived(2, 1),
+            src: MacAddr::derived(1, 1),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut frame);
+        ip.emit(&mut frame, l4.len());
+        frame.extend_from_slice(&l4);
+        Packet::parse(frame.freeze()).unwrap()
+    }
+
+    #[test]
+    fn rewritten_frames_match_the_layered_rewrite_byte_for_byte() {
+        let mut inputs = vec![
+            tcp_with_options(b""),
+            tcp_with_options(b"GET / HTTP/1.1\r\n"),
+        ];
+        for len in [0usize, 1, 7, 64, 513, 1400] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            inputs.push(upstream_tcp(50_000, &payload));
+            inputs.push(builder::udp_packet(
+                MacAddr::derived(1, 1),
+                MacAddr::derived(2, 1),
+                client_ip(),
+                server_ip(),
+                5_353,
+                53,
+                &payload,
+            ));
+        }
+        for (i, packet) in inputs.iter().enumerate() {
+            let port = NAT_PORT_BASE + i as u16;
+            let expected = layered_rewrite(packet, public_ip(), server_ip(), port, 80);
+            let rewritten = Nat::rewrite(packet, public_ip(), server_ip(), port, 80).unwrap();
+            assert_eq!(rewritten.bytes()[..], expected[..], "input {i}");
+        }
+        let with_options = Nat::rewrite(&inputs[1], public_ip(), server_ip(), 40_000, 80).unwrap();
+        let tcp = with_options.tcp().unwrap();
+        assert_eq!(tcp.options, vec![2, 4, 5, 180, 1, 1, 4, 2]);
+        assert_eq!((tcp.seq, tcp.window, tcp.urgent), (0xdead_beef, 1_234, 7));
+        let ip = with_options.ipv4().unwrap();
+        assert_eq!((ip.dscp_ecn, ip.identification, ip.ttl), (0xb8, 0x4242, 17));
+        assert!(ip.options.is_empty());
     }
 }

@@ -9,9 +9,15 @@ use std::net::Ipv4Addr;
 
 /// Accumulator for the one's-complement sum. Data can be fed in several
 /// chunks (header, pseudo-header, payload) before finalising.
+///
+/// The accumulator is 64 bits wide and [`Checksum::add_bytes`] adds whole
+/// 32-bit big-endian words. Because 2^16 ≡ 1 (mod 0xffff), a 32-bit word
+/// contributes the same residue as its two 16-bit halves, and folding the
+/// carries back in keeps the sum's residue (RFC 1071 §2), so the folded
+/// result is bit-identical to a 16-bit word-at-a-time sum.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
 }
 
 impl Checksum {
@@ -23,25 +29,27 @@ impl Checksum {
     /// Adds a byte slice to the sum. Slices of odd length are zero-padded on
     /// the right, per RFC 1071.
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.add_u16(u16::from_be_bytes([chunk[0], chunk[1]]));
+        let mut words = data.chunks_exact(4);
+        let mut sum = self.sum;
+        for word in &mut words {
+            sum += u64::from(u32::from_be_bytes([word[0], word[1], word[2], word[3]]));
         }
-        if let [last] = chunks.remainder() {
-            self.add_u16(u16::from_be_bytes([*last, 0]));
-        }
+        // The 1–3 trailing bytes, zero-padded to a full word: the same
+        // residue as their 16-bit words with an odd byte padded on the right.
+        let mut tail = [0u8; 4];
+        let rest = words.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.sum = sum + u64::from(u32::from_be_bytes(tail));
     }
 
     /// Adds a single big-endian 16-bit word.
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.sum += u64::from(word);
     }
 
-    /// Adds a 32-bit value as two 16-bit words (used for IPv4 addresses in the
-    /// pseudo-header).
+    /// Adds a 32-bit value (used for IPv4 addresses in the pseudo-header).
     pub fn add_u32(&mut self, value: u32) {
-        self.add_u16((value >> 16) as u16);
-        self.add_u16((value & 0xffff) as u16);
+        self.sum += u64::from(value);
     }
 
     /// Folds the carries and returns the one's-complement checksum.

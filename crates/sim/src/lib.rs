@@ -15,7 +15,8 @@
 //! * [`queue::EventQueue`] — a time-ordered event queue with a virtual clock,
 //!   deterministic tie-breaking and a FIFO lane for presorted events.
 //! * [`rng::Rng`] — a PCG-32 PRNG with named sub-streams and the handful of
-//!   distributions the edge/traffic models need.
+//!   distributions the edge/traffic models need, plus [`rng::Zipf`], a
+//!   precomputed Zipf popularity table.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
 //!   time series used by experiments and telemetry.
 //!
@@ -30,5 +31,5 @@ pub mod rng;
 pub mod stats;
 
 pub use queue::{EventQueue, Scheduled};
-pub use rng::Rng;
+pub use rng::{Rng, Zipf};
 pub use stats::{rate_per_second, Counter, Histogram, Summary, TimeSeries};

@@ -173,24 +173,6 @@ impl Rng {
         x_min / (1.0 - u * (1.0 - ratio)).powf(1.0 / alpha)
     }
 
-    /// A Zipf-distributed rank in `[0, n)` with exponent `s`, via inverse
-    /// transform on the truncated harmonic series. Used for content/domain
-    /// popularity in the traffic model.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        let harmonic: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut target = self.next_f64() * harmonic;
-        for k in 1..=n {
-            target -= 1.0 / (k as f64).powf(s);
-            if target <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// An exponentially distributed duration with the given mean — the
     /// inter-arrival time of a Poisson process.
     pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
@@ -202,6 +184,45 @@ impl Rng {
         SimDuration::from_secs_f64(
             self.normal_non_negative(mean.as_secs_f64(), std_dev.as_secs_f64()),
         )
+    }
+}
+
+/// A Zipf distribution over the ranks `[0, n)` with exponent `s`, sampled
+/// by inverse transform on the truncated harmonic series. Used for
+/// content/domain popularity in the traffic models. The weights `1/k^s` and
+/// their sum are computed once, so a draw is one uniform variate and a
+/// subtract per rank visited.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Zipf {
+    weights: Box<[f64]>,
+    harmonic: f64,
+}
+
+impl Zipf {
+    /// Precomputes the table for `n` ranks with exponent `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        let weights: Box<[f64]> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        // A left-to-right sum of the same weights: the very harmonic sum a
+        // per-draw computation would get.
+        let harmonic = weights.iter().sum();
+        Zipf { weights, harmonic }
+    }
+
+    /// Draws a rank. Tables over at most one rank return 0 without
+    /// consuming randomness.
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let n = self.weights.len();
+        if n <= 1 {
+            return 0;
+        }
+        let mut target = rng.next_f64() * self.harmonic;
+        for (rank, weight) in self.weights.iter().enumerate() {
+            target -= weight;
+            if target <= 0.0 {
+                return rank;
+            }
+        }
+        n - 1
     }
 }
 
@@ -313,14 +334,25 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = Rng::new(19);
+        let zipf = Zipf::new(20, 1.0);
         let mut counts = [0usize; 20];
         for _ in 0..20_000 {
-            counts[rng.zipf(20, 1.0)] += 1;
+            counts[zipf.sample(&mut rng)] += 1;
         }
         assert!(counts[0] > counts[5]);
         assert!(counts[0] > counts[19] * 3);
-        assert_eq!(rng.zipf(1, 1.0), 0);
-        assert_eq!(rng.zipf(0, 1.0), 0);
+        assert_eq!(Zipf::new(1, 1.0).sample(&mut rng), 0);
+        assert_eq!(Zipf::new(0, 1.0).sample(&mut rng), 0);
+    }
+
+    #[test]
+    fn zipf_table_holds_the_per_draw_harmonic_sum_bit_for_bit() {
+        for n in [1usize, 2, 8, 20, 500] {
+            for s in [1.0, 1.1, 1.2] {
+                let per_draw: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+                assert_eq!(Zipf::new(n, s).harmonic.to_bits(), per_draw.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@
 use crate::population::{ClientEndpoint, Population};
 use crate::source::{TimedBatch, Workload};
 use gnf_packet::{builder, Packet};
-use gnf_sim::Rng;
+use gnf_sim::{Rng, Zipf};
 use gnf_types::{ClientId, SimDuration, SimTime, StationId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::LazyLock;
 
 /// The destinations web-flavoured flows are spread over (Zipf popularity).
 const WEB_HOSTS: [&str; 8] = [
@@ -40,6 +41,15 @@ const WEB_HOSTS: [&str; 8] = [
     "mail.example",
     "svc.edge.example",
 ];
+
+/// Host popularity of HTTP flows (Zipf exponent 1.1) and of DNS queries
+/// (exponent 1.0), shared by every generator.
+static HTTP_HOST_RANKS: LazyLock<Zipf> = LazyLock::new(|| Zipf::new(WEB_HOSTS.len(), 1.1));
+static DNS_HOST_RANKS: LazyLock<Zipf> = LazyLock::new(|| Zipf::new(WEB_HOSTS.len(), 1.0));
+
+/// The objects HTTP flows request, `/obj/1` to `/obj/99`, formatted once.
+static OBJECT_PATHS: LazyLock<Vec<String>> =
+    LazyLock::new(|| (1..=99).map(|object| format!("/obj/{object}")).collect());
 
 /// The well-known victim of the attack-flavoured flows.
 const ATTACK_TARGET: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 80);
@@ -568,7 +578,7 @@ impl SyntheticWorkload {
         self.budget -= u64::from(size);
         let body = match kind {
             FlowKind::Http => {
-                let host_ix = self.rng.zipf(WEB_HOSTS.len(), 1.1);
+                let host_ix = HTTP_HOST_RANKS.sample(&mut self.rng);
                 FlowBody::Http {
                     host_ix,
                     server: server_for(host_ix),
@@ -634,7 +644,7 @@ impl SyntheticWorkload {
                 let packet = if *sent == 0 {
                     builder::tcp_syn(e.mac, e.gateway_mac, e.ip, *server, *src_port, 80)
                 } else {
-                    let object = rng.range_inclusive(1, 99);
+                    let object = rng.range_inclusive(1, 99) as usize;
                     builder::http_get(
                         e.mac,
                         e.gateway_mac,
@@ -642,7 +652,7 @@ impl SyntheticWorkload {
                         *server,
                         *src_port,
                         WEB_HOSTS[*host_ix],
-                        &format!("/obj/{object}"),
+                        &OBJECT_PATHS[object - 1],
                     )
                 };
                 *sent += 1;
@@ -650,7 +660,7 @@ impl SyntheticWorkload {
             }
             FlowBody::Dns { src_port, next_id } => {
                 *next_id = next_id.wrapping_add(1);
-                let host = WEB_HOSTS[rng.zipf(WEB_HOSTS.len(), 1.0)];
+                let host = WEB_HOSTS[DNS_HOST_RANKS.sample(rng)];
                 builder::dns_query(
                     e.mac,
                     e.gateway_mac,
@@ -664,14 +674,15 @@ impl SyntheticWorkload {
             FlowBody::Cbr {
                 src_port,
                 payload_bytes,
-            } => builder::udp_packet(
+            } => builder::udp_fill(
                 e.mac,
                 e.gateway_mac,
                 e.ip,
                 Ipv4Addr::new(203, 0, 113, 200),
                 *src_port,
                 5_004,
-                &vec![0xAB; usize::from(*payload_bytes)],
+                0xAB,
+                usize::from(*payload_bytes),
             ),
             FlowBody::PortScan { src_port, cursor } => {
                 let port = *cursor;
